@@ -168,8 +168,8 @@ class QuadraticWorkload(Workload):
 
     @property
     def bowl(self) -> QuadraticBowl:
-        """The shared cost object (lazily built; one d × d curvature
-        matrix for every cell of the grid)."""
+        """The shared cost object (lazily built once for every cell of
+        the grid; its scalar curvature is stored as a float)."""
         if self._bowl is None:
             self._bowl = QuadraticBowl(
                 self._dimension, curvature=self.curvature

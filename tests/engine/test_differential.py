@@ -322,7 +322,8 @@ class TestGridTrajectories:
     """Full-trajectory identity: run_grid(loop) vs run_grid(batched)."""
 
     @staticmethod
-    def _assert_identical(grid: ScenarioGrid, **kwargs) -> None:
+    def _assert_identical(grid: ScenarioGrid, **kwargs):
+        """Assert bit-identity; returns the loop result."""
         loop = run_grid(grid, mode="loop", eval_every=5)
         batched = run_grid(grid, mode="batched", eval_every=5, **kwargs)
         assert set(loop.histories) == set(batched.histories)
@@ -337,6 +338,7 @@ class TestGridTrajectories:
                 records_equal(a, b)
                 for a, b in zip(loop_records, batched_records)
             ), f"history diverged for {label}"
+        return loop
 
     @pytest.mark.parametrize("seed", [0, 17])
     def test_randomized_grid(self, seed):
@@ -373,6 +375,34 @@ class TestGridTrajectories:
             num_rounds=8,
         )
         self._assert_identical(grid)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e14, 5.6e14])
+    def test_diverging_quadratic_cells(self, learning_rate):
+        """Step sizes that overflow the parameters, with the non-finite
+        guard off: both executors carry the same inf/NaN coordinates
+        (the scalar-curvature bowl keeps them local) through every
+        record and into the final parameters."""
+        grid = ScenarioGrid(
+            seeds=(3,),
+            workloads=(("quadratic", {"dimension": 6, "sigma": 0.3}),),
+            attacks=(("gaussian", {"sigma": 50.0}),),
+            aggregators=(
+                ("average", {}),
+                ("coordinate-median", {}),
+                ("krum", {}),
+            ),
+            f_values=(2,),
+            num_workers=9,
+            num_rounds=22,
+            learning_rate=learning_rate,
+            lr_timescale=None,
+        )
+        loop = self._assert_identical(grid)
+        finals = np.stack(list(loop.final_params.values()))
+        # Diverged, but not uniformly: some coordinates are infinite,
+        # the others finite or NaN.
+        assert np.isinf(finals).any() and not np.isinf(finals).all()
 
     def test_loop_fallback_rules_in_grid(self):
         """Grids mixing kernel-backed and fallback rules stay identical."""
