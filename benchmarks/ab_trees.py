@@ -14,13 +14,17 @@ full payload), with floats compared by their exact bits.  The exit code
 is 0 only when the two fingerprints are byte-identical and every run's
 correctness gate passed.
 
-Usage, from the repository root::
+Every run lasts the ``run_seconds`` of ``BENCHMARK.json`` and there
+are always ten pairs, the length and count the benchmark is judged by.
 
-    python3 benchmarks/ab_trees.py HEAD~1 HEAD --workload grid-quadratic \\
-        --seed 0 --seconds 10 --pairs 10
+Usage::
+
+    python3 benchmarks/ab_trees.py HEAD~1 HEAD --workload grid-quadratic --seed 0
 
 A revision that names an existing directory is used as it is, so
 ``HEAD .`` compares the last commit with the uncommitted working tree.
+Relative directories, like revisions, are taken from the repository
+root, wherever the script is run from.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRIC = "proposals_per_ref_s"
+PAIRS = 10
 
 #: Runs one workload repetition inside a tree (cwd) and prints the
 #: SHA-256 of its fingerprint.  Uses only the tree's own ``perfbench``
@@ -109,12 +114,17 @@ def wins(pairs: list[tuple[float, float]]) -> int:
 
 
 def compare(
-    fingerprints: dict[str, str], correct: dict[str, list[bool]]
+    fingerprints: dict[str, str | None], correct: dict[str, list[bool]]
 ) -> list[str]:
-    """Reasons the A/B fails: differing fingerprints or a failed gate
-    (empty when the two trees agree and every run passed)."""
-    failures = []
-    if len(set(fingerprints.values())) != 1:
+    """Reasons the A/B fails: a fingerprint run that crashed (``None``),
+    differing fingerprints or a failed gate (empty when the two trees
+    agree and every run passed)."""
+    failures = [
+        f"{tree}: fingerprint run failed"
+        for tree, fp in fingerprints.items()
+        if fp is None
+    ]
+    if not failures and len(set(fingerprints.values())) != 1:
         failures.append(
             "fingerprints differ: "
             + ", ".join(f"{tree} {fp[:16]}" for tree, fp in fingerprints.items())
@@ -124,6 +134,19 @@ def compare(
         if bad:
             failures.append(f"{tree}: {bad} of {len(gates)} run(s) failed a check")
     return failures
+
+
+def run_seconds() -> int:
+    """The benchmark's run length, from ``BENCHMARK.json``."""
+    return int(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+
+
+def tree_dir(revision: str) -> Path | None:
+    """``revision`` as a directory (relative ones from the repository
+    root, where revisions are resolved too), or ``None`` if it is not
+    one."""
+    path = ROOT / revision
+    return path.resolve() if path.is_dir() else None
 
 
 def export_tree(revision: str, dest: Path) -> None:
@@ -175,15 +198,18 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
-def fingerprint(tree: Path, workload: str, seed: int) -> str:
+def fingerprint(tree: Path, workload: str, seed: int) -> str | None:
+    """SHA-256 of one run's fingerprint, or ``None`` if the run failed."""
     child = subprocess.run(
         [sys.executable, "-c", FINGERPRINT_CODE, workload, str(seed)],
         cwd=tree,
         env=_env(),
         capture_output=True,
         text=True,
-        check=True,
     )
+    if child.returncode != 0:
+        sys.stderr.write(child.stderr)
+        return None
     return child.stdout.strip()
 
 
@@ -193,25 +219,18 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("rev_b", help="candidate revision or directory")
     parser.add_argument("--workload", default="grid-quadratic")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--seconds", type=int, default=10, help="seconds per perfbench run"
-    )
-    parser.add_argument(
-        "--pairs", type=int, default=10, help="A/B run pairs (default 10)"
-    )
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
+    seconds = run_seconds()
     with tempfile.TemporaryDirectory(prefix="ab_trees-") as scratch:
         trees = {}
         for label, revision in (("A", args.rev_a), ("B", args.rev_b)):
-            if Path(revision).is_dir():
-                trees[label] = Path(revision).resolve()
+            directory = tree_dir(revision)
+            if directory is not None:
+                trees[label] = directory
                 continue
             trees[label] = Path(scratch) / label
             trees[label].mkdir()
@@ -220,13 +239,11 @@ def main(argv: list[str] | None = None) -> int:
         metrics: dict[str, dict[str, list[float]]] = {"A": {}, "B": {}}
         correct: dict[str, list[bool]] = {"A": [], "B": []}
         pairs: list[tuple[float, float]] = []
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("A", "B") if pair % 2 == 0 else ("B", "A")
             values = {}
             for label in order:
-                result = run_bench(
-                    trees[label], args.workload, args.seed, args.seconds
-                )
+                result = run_bench(trees[label], args.workload, args.seed, seconds)
                 correct[label].append(bool(result["correct"]))
                 for name, metric in result["metrics"].items():
                     metrics[label].setdefault(name, []).append(metric["value"])
@@ -243,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     revisions = {"A": args.rev_a, "B": args.rev_b}
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pair(s):")
+    print(f"{args.workload} seed {args.seed}, {PAIRS} pairs of {seconds} s runs:")
     samples = {label: metrics[label].get(METRIC, []) for label in metrics}
     summaries = {}
     for label, values in samples.items():
@@ -255,11 +272,14 @@ def main(argv: list[str] | None = None) -> int:
             f"  {label} ({revisions[label]}): min {s.minimum:.1f}  "
             f"q1 {s.q1:.1f}  median {s.median:.1f}  q3 {s.q3:.1f}  "
             f"max {s.maximum:.1f}  spread {s.spread:.1%}  "
-            f"fingerprint {fingerprints[label][:16]}"
+            f"fingerprint {(fingerprints[label] or 'FAILED')[:16]}"
         )
     if len(summaries) == 2:
         ratio = summaries["B"].median / summaries["A"].median
+        gain = summaries["B"].median - summaries["A"].median
+        iqr = summaries["A"].q3 - summaries["A"].q1
         print(f"  B/A median {METRIC}: {ratio:.3f}x")
+        print(f"  B - A median {gain:.1f} vs A's interquartile range {iqr:.1f}")
         print(f"  B faster in {wins(pairs)} of {len(pairs)} pair(s)")
     for name in sorted(metrics["A"].keys() & metrics["B"].keys() - {METRIC}):
         a, b = (statistics.median(metrics[t][name]) for t in ("A", "B"))

@@ -27,9 +27,6 @@ What makes it faster than B independent loops:
   gradient is evaluated once per scenario-round instead of once per
   worker-round — bit-identical because the oracle adds its noise to the
   same expected vector either way;
-* in-place noise: each oracle worker's float64 noise is drawn straight
-  into its row of the preallocated proposal tensor (same stream, same
-  bytes, no per-worker temporaries);
 * no per-round message objects or server bookkeeping.
 
 Minibatch (dataset-backed) workloads take a per-worker batched path
@@ -424,8 +421,8 @@ class BatchedSimulation:
                         ),
                         dtype=self._float_dtype,
                     )
-                worker.estimator.sample_about(
-                    expected_at[tau], worker.rng, out=row[worker.worker_id]
+                row[worker.worker_id] = worker.estimator.sample_about(
+                    expected_at[tau], worker.rng
                 )
             return expected_at.get(0)
         if scenario.minibatch:

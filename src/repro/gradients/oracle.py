@@ -50,11 +50,7 @@ class GaussianOracleEstimator(GradientEstimator):
         return self.sample_about(grad, rng)
 
     def sample_about(
-        self,
-        expected: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        out: np.ndarray | None = None,
+        self, expected: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Draw one estimate given the precomputed expected gradient.
 
@@ -62,28 +58,10 @@ class GaussianOracleEstimator(GradientEstimator):
         ``gradient_fn(params)``; the batched engine uses this to evaluate
         the (deterministic) gradient once per scenario instead of once
         per worker.
-
-        With ``out`` (a ``(d,)`` array, returned) the estimate is written
-        there instead of a new array.  A float64 ``out`` receives the
-        noise draw directly — the same float64 stream and the same bytes
-        as the allocating form; any other dtype gets the allocating
-        form's float64 result cast on assignment.
         """
-        if out is not None and out.dtype == np.float64 and self.sigma != 0.0:
-            # normal(0, σ) is 0 + σ·standard_normal on the same stream.
-            rng.standard_normal(out=out)
-            out *= self.sigma
-            out += expected
-            return out
-        # A draw in a float32 out's dtype would be a different stream.
         if self.sigma == 0.0:
-            sample = expected.copy()
-        else:
-            sample = expected + rng.normal(0.0, self.sigma, size=self._dimension)
-        if out is None:
-            return sample
-        out[...] = sample
-        return out
+            return expected.copy()
+        return expected + rng.normal(0.0, self.sigma, size=self._dimension)
 
     def expected(self, params: np.ndarray) -> np.ndarray:
         return np.asarray(self._gradient_fn(params), dtype=np.float64).copy()

@@ -52,62 +52,3 @@ class TestGaussianOracleEstimator:
             GaussianOracleEstimator(quadratic_gradient, 0, sigma=1.0)
         with pytest.raises(ConfigurationError):
             GaussianOracleEstimator(quadratic_gradient, 3, sigma=-1.0)
-
-
-class TestSampleAboutOut:
-    """``sample_about(out=...)`` writes the allocating form's bytes and
-    leaves the generator exactly where the allocating form does."""
-
-    @staticmethod
-    def _pair(seed: int = 7):
-        return np.random.default_rng(seed), np.random.default_rng(seed)
-
-    @pytest.mark.parametrize("sigma", [0.3, 1.0, 250.0])
-    @pytest.mark.parametrize("dimension", [1, 6, 1000])
-    def test_float64_matches_allocating_form(self, sigma, dimension):
-        est = GaussianOracleEstimator(quadratic_gradient, dimension, sigma)
-        expected = np.random.default_rng(1).standard_normal(dimension)
-        rng_a, rng_b = self._pair()
-        want = est.sample_about(expected, rng_a)
-        out = np.empty(dimension)
-        got = est.sample_about(expected, rng_b, out=out)
-        assert got is out
-        assert got.tobytes() == want.tobytes()
-        # Same stream position: the next draws agree too.
-        assert rng_a.standard_normal(4).tobytes() == (
-            rng_b.standard_normal(4).tobytes()
-        )
-
-    def test_writes_into_a_tensor_row(self):
-        est = GaussianOracleEstimator(quadratic_gradient, 5, sigma=0.5)
-        expected = np.arange(5.0)
-        rng_a, rng_b = self._pair()
-        proposals = np.zeros((2, 3, 5))
-        est.sample_about(expected, rng_b, out=proposals[1, 2])
-        assert proposals[1, 2].tobytes() == (
-            est.sample_about(expected, rng_a).tobytes()
-        )
-        assert not proposals[0].any() and not proposals[1, :2].any()
-
-    def test_zero_sigma_copies_and_draws_nothing(self):
-        est = GaussianOracleEstimator(quadratic_gradient, 4, sigma=0.0)
-        expected = np.array([1.0, -0.0, np.inf, 3.5])
-        rng_a, rng_b = self._pair()
-        out = np.full(4, np.nan)
-        est.sample_about(expected, rng_b, out=out)
-        assert out.tobytes() == expected.tobytes()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_float32_out_casts_the_float64_draw(self):
-        """A float32 staging row gets the float64 sample cast on
-        assignment — the stream and the values the engine staged before
-        in-place draws existed."""
-        est = GaussianOracleEstimator(quadratic_gradient, 7, sigma=0.8)
-        expected = np.linspace(-1.0, 1.0, 7).astype(np.float32)
-        rng_a, rng_b = self._pair()
-        want = np.empty(7, dtype=np.float32)
-        want[...] = est.sample_about(expected, rng_a)
-        out = np.empty(7, dtype=np.float32)
-        assert est.sample_about(expected, rng_b, out=out) is out
-        assert out.tobytes() == want.tobytes()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -1,13 +1,22 @@
-"""Tests for the A/B tree comparison script's summary, compare and
-fingerprint logic (no git, no benchmark runs)."""
+"""Tests for the A/B tree comparison script's summary, compare,
+fingerprint and tree-resolution logic (no git, no benchmark runs)."""
 
 from __future__ import annotations
 
+import json
 import textwrap
 
 import pytest
 
-from benchmarks.ab_trees import compare, fingerprint, summarize, wins
+from benchmarks.ab_trees import (
+    ROOT,
+    compare,
+    fingerprint,
+    run_seconds,
+    summarize,
+    tree_dir,
+    wins,
+)
 
 #: A stand-in ``perfbench/workloads.py``: one grid-like workload whose
 #: final parameters and history records come from the environment of
@@ -101,8 +110,34 @@ class TestCompare:
         )
         assert failures == ["B: 1 of 2 run(s) failed a check"]
 
+    def test_crashed_fingerprint_run_fails(self):
+        failures = compare({"A": None, "B": "ab12"}, {"A": [True], "B": [True]})
+        assert failures == ["A: fingerprint run failed"]
+
+
+class TestRunSettings:
+    def test_run_length_is_the_benchmarks(self):
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert run_seconds() == benchmark["run_seconds"]
+
+    def test_directories_resolve_from_the_repository_root(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert tree_dir(".") == ROOT
+        assert tree_dir("src") == ROOT / "src"
+        assert tree_dir(str(tmp_path)) == tmp_path.resolve()
+
+    def test_revisions_are_not_directories(self):
+        assert tree_dir("HEAD~1") is None
+
 
 class TestFingerprint:
+    def test_crashing_tree_gives_none(self, tmp_path):
+        tree = _tree(tmp_path, "a", loss="0.25", params="[1.0, 2.0]")
+        (tree / "perfbench" / "workloads.py").write_text("raise ImportError\n")
+        assert fingerprint(tree, "fake", 0) is None
+
     def test_equal_results_fingerprint_equal(self, tmp_path):
         a = _tree(tmp_path, "a", loss="0.25", params="[1.0, 2.0]")
         b = _tree(tmp_path, "b", loss="0.25", params="[1.0, 2.0]")
