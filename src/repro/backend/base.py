@@ -165,6 +165,10 @@ class ArrayBackend(ABC):
     def isfinite(self, x: Array) -> Array:
         """Elementwise finiteness mask."""
 
+    @abstractmethod
+    def isnan(self, x: Array) -> Array:
+        """Elementwise NaN mask (``±inf`` is not NaN)."""
+
     # -- contractions --------------------------------------------------
 
     @abstractmethod

@@ -106,6 +106,9 @@ class NumpyBackend(ArrayBackend):
     def isfinite(self, x) -> np.ndarray:
         return np.isfinite(x)
 
+    def isnan(self, x) -> np.ndarray:
+        return np.isnan(x)
+
     # -- contractions --------------------------------------------------
 
     def einsum(self, subscripts: str, *operands) -> np.ndarray:

@@ -177,6 +177,9 @@ class TorchBackend(ArrayBackend):
     def isfinite(self, x) -> torch.Tensor:
         return torch.isfinite(x)
 
+    def isnan(self, x) -> torch.Tensor:
+        return torch.isnan(x)
+
     # -- contractions --------------------------------------------------
 
     def einsum(self, subscripts: str, *operands) -> torch.Tensor:

@@ -224,8 +224,9 @@ def batched_weiszfeld(
        meaningful precision by then (the stall-strike rule).
 
     Raises :class:`~repro.exceptions.ConvergenceError` when any scenario
-    exhausts ``max_iterations`` (e.g. NaN proposals, which never satisfy
-    any convergence predicate).
+    exhausts ``max_iterations``, and before the first iteration when any
+    scenario holds a NaN proposal (such a lane never satisfies a
+    convergence predicate, so it could only exhaust the budget).
     """
     xp = resolve_backend(backend)
     stacks = xp.asarray(stacks)
@@ -250,10 +251,27 @@ def batched_weiszfeld(
         results[:] = stacks[:, 0]
         return results
 
+    # A NaN proposal makes its lane's starting mean NaN, so every
+    # distance, step, shift and objective of that lane is NaN from the
+    # first pass on; NaN never compares true, so no termination test can
+    # fire and the lane would only exhaust max_iterations.  Raise now.
+    # Only lanes whose mean is NaN need the full scan (a +inf/-inf pair
+    # also yields a NaN mean but takes the iteration as before).
+    estimates = xp.mean(stacks, axis=1)
+    nan_mean = xp.any(xp.isnan(estimates), axis=1)
+    if xp.any(nan_mean):
+        poisoned = xp.any(xp.any(xp.isnan(stacks[nan_mean]), axis=2), axis=1)
+        if xp.any(poisoned):
+            raise ConvergenceError(
+                f"Weiszfeld iteration did not converge: "
+                f"{int(xp.count_nonzero(poisoned))} of {batch} scenario(s) "
+                f"hold NaN proposals, which no convergence test accepts"
+            )
+
     lanes = _LaneState(
         indices=xp.arange(batch),  # output slots of still-active lanes
         values=stacks,
-        estimates=xp.mean(stacks, axis=1),
+        estimates=estimates,
         # Lazy per-lane cache of the nearest point's optimality verdict:
         # the verdict is estimate-independent, and the nearest point
         # rarely changes once the iterate homes in, so most iterations
