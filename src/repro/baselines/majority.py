@@ -36,8 +36,9 @@ class MinimalDiameterSubset(SelectionAggregator):
     The diameter of a subset is its maximal pairwise distance.  Ties are
     broken lexicographically on the sorted index tuple (deterministic),
     including the all-infinite tie of a stack with more than f
-    non-finite rows, which selects the first subset.  ``max_subsets`` guards against accidentally launching an infeasible
-    enumeration; raise it explicitly for the complexity bench.
+    non-finite rows, which selects the first subset.  ``max_subsets``
+    guards against accidentally launching an infeasible enumeration;
+    raise it explicitly for the complexity bench.
     """
 
     def __init__(self, f: int, *, max_subsets: int = 2_000_000):

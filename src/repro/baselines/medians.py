@@ -257,7 +257,8 @@ def batched_weiszfeld(
     # fire and the lane would only exhaust max_iterations.  Raise now.
     # Only lanes whose mean is NaN need the full scan (a +inf/-inf pair
     # also yields a NaN mean but takes the iteration as before).
-    estimates = xp.mean(stacks, axis=1)
+    with xp.errstate():
+        estimates = xp.mean(stacks, axis=1)
     nan_mean = xp.any(xp.isnan(estimates), axis=1)
     if xp.any(nan_mean):
         poisoned = xp.any(xp.any(xp.isnan(stacks[nan_mean]), axis=2), axis=1)
