@@ -146,6 +146,15 @@ class TestKernelExactness:
         )
 
 
+class TestElementwise:
+    def test_isnan_matches_numpy(self):
+        stacks = reference_batch()
+        stacks[0, 0, :3] = [np.inf, -np.inf, -np.nan]
+        mask = NumpyBackend().isnan(stacks)
+        assert bitwise_equal(mask, np.isnan(stacks))
+        assert mask[2, -1].all() and not mask[0, 0, :2].any()
+
+
 class TestEngineThreading:
     def make_grid(self) -> ScenarioGrid:
         return ScenarioGrid(

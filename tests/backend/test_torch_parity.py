@@ -36,6 +36,7 @@ from repro.core.batched import (  # noqa: E402
 from repro.core.bulyan import Bulyan, batched_bulyan  # noqa: E402
 from repro.core.krum import Krum, MultiKrum  # noqa: E402
 from repro.engine import ScenarioGrid, run_grid  # noqa: E402
+from repro.exceptions import ConvergenceError  # noqa: E402
 from repro.utils.linalg import (  # noqa: E402
     batched_pairwise_sq_distances,
     masked_coordinate_median,
@@ -177,6 +178,21 @@ class TestKernelParity:
         )
         assert close(vectors, torch_backend.to_numpy(t_vectors))
         assert np.array_equal(committees, torch_backend.to_numpy(t_committees))
+
+    def test_isnan_parity(self, torch_backend):
+        stacks = reference_batches()[1]
+        stacks[5, 0, 0] = -np.inf
+        mask = torch_backend.to_numpy(
+            torch_backend.isnan(torch_backend.asarray(stacks))
+        )
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, np.isnan(stacks))
+
+    def test_weiszfeld_nan_lane_raises_like_numpy(self, torch_backend):
+        stacks = reference_batches()[1]  # lane 2 holds a NaN row
+        for backend in ("numpy", torch_backend):
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                batched_weiszfeld(stacks, backend=backend)
 
     def test_weiszfeld_parity(self, torch_backend):
         # The plain batch plus the finite-ized corners batch: duplicate

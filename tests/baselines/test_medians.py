@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.baselines import medians
 from repro.baselines.medians import (
     CoordinateWiseMedian,
     GeometricMedian,
     TrimmedMean,
     batched_weiszfeld,
 )
+from repro.core.batched import make_batched_aggregator
 from repro.exceptions import (
     ByzantineToleranceError,
     ConfigurationError,
+    ConvergenceError,
     DimensionMismatchError,
 )
 
@@ -185,3 +188,74 @@ class TestBatchedWeiszfeld:
             batched_weiszfeld(np.ones((1, 3, 2)), tolerance=0.0)
         with pytest.raises(ConfigurationError, match="max_iterations"):
             batched_weiszfeld(np.ones((1, 3, 2)), max_iterations=0)
+
+
+@pytest.fixture
+def row_norm_calls(monkeypatch):
+    """Counts Weiszfeld distance passes (every pass starts with one)."""
+    calls = []
+    original = medians._row_norms
+
+    def spy(vectors, xp):
+        calls.append(vectors.shape)
+        return original(vectors, xp)
+
+    monkeypatch.setattr(medians, "_row_norms", spy)
+    return calls
+
+
+@pytest.fixture
+def no_weiszfeld_pass(monkeypatch):
+    """Fails the test at the first Weiszfeld distance pass."""
+
+    def forbidden(vectors, xp):
+        raise AssertionError("Weiszfeld iterated on a NaN lane")
+
+    monkeypatch.setattr(medians, "_row_norms", forbidden)
+
+
+class TestNanFailFast:
+    """A NaN lane can never converge, so it raises before the first pass."""
+
+    def test_rule_raises_before_iterating(self, rng, no_weiszfeld_pass):
+        vectors = rng.standard_normal((9, 4))
+        vectors[6, 2] = np.nan
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            GeometricMedian().aggregate(vectors)
+
+    def test_batched_kernel_raises_before_iterating(self, rng, no_weiszfeld_pass):
+        batch = rng.standard_normal((4, 9, 4))
+        batch[2, 0, 1] = np.nan
+        adapter = make_batched_aggregator(GeometricMedian())
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            adapter.aggregate_batch(batch)
+
+    def test_message_counts_nan_lanes(self, rng):
+        batch = rng.standard_normal((5, 6, 3))
+        batch[1, 2, 0] = np.nan
+        batch[4, :, :] = np.nan
+        batch[3, 0, 0] = np.inf  # inf alone is not a NaN lane
+        with pytest.raises(ConvergenceError, match="2 of 5 scenario"):
+            batched_weiszfeld(batch)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [np.inf, 0.0]],
+            # +inf and -inf in one coordinate make the starting mean NaN,
+            # yet the data-point optimality test still certifies a median.
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.inf, 0.0], [-np.inf, 0.0]],
+        ],
+    )
+    def test_inf_without_nan_still_iterates(self, vectors, row_norm_calls):
+        out = GeometricMedian().aggregate(np.array(vectors))
+        assert out.tobytes() == np.zeros(2).tobytes()
+        assert row_norm_calls
+
+    def test_inf_lane_batched_with_finite_lanes(self, rng):
+        batch = rng.standard_normal((3, 7, 3))
+        batch[1, 4, 2] = -np.inf
+        together = batched_weiszfeld(batch)
+        for b in range(3):
+            alone = GeometricMedian().aggregate(batch[b])
+            assert together[b].tobytes() == alone.tobytes()
